@@ -532,8 +532,8 @@ pub fn solve_chain_with_params(oracle: &ScoreOracle<'_>, params: &ChainParams) -
         };
         let m_word = &concat_m[win.lo..win.hi];
         // Pooled workspace: the window grid reuses the oracle's warm
-        // scratch instead of allocating a fresh `DpMatrix` per window,
-        // and `with_pooled` folds the fill into `stats.dp_fills`.
+        // scratch instead of allocating a fresh grid per window, and
+        // `with_pooled` folds the fill into `stats.dp_fills`.
         let cols = oracle.with_pooled(|ws| ws.align_words(&inst.sigma, &h_word, m_word).1);
         for (uo, vo) in cols {
             let h_cell = uo.map(|o| {

@@ -16,72 +16,10 @@
 use fragalign_model::consistency::{AlignColumns, SiteAligner};
 use fragalign_model::{Score, ScoreTable, Sym};
 
-/// A filled `P_score` DP matrix over two words. Row-major flat storage,
-/// `(|u|+1) × (|v|+1)`. Beyond the final score, the matrix exposes all
-/// prefix-vs-prefix scores, which the interval oracle and the
-/// staircase search reuse.
-#[derive(Clone, Debug)]
-pub struct DpMatrix {
-    cells: Vec<Score>,
-    rows: usize,
-    cols: usize,
-}
-
-impl DpMatrix {
-    /// Fill the matrix for `u` vs `v` under `sigma`.
-    pub fn fill(sigma: &ScoreTable, u: &[Sym], v: &[Sym]) -> Self {
-        let rows = u.len() + 1;
-        let cols = v.len() + 1;
-        let mut cells = vec![0 as Score; rows * cols];
-        for i in 1..rows {
-            let ui = u[i - 1];
-            let (prev_row, row) = {
-                // Split borrows: row i-1 is read, row i written.
-                let (a, b) = cells.split_at_mut(i * cols);
-                (&a[(i - 1) * cols..], &mut b[..cols])
-            };
-            for j in 1..cols {
-                let diag = prev_row[j - 1] + sigma.score(ui, v[j - 1]);
-                let up = prev_row[j];
-                let left = row[j - 1];
-                row[j] = diag.max(up).max(left);
-            }
-        }
-        DpMatrix { cells, rows, cols }
-    }
-
-    /// `P_score(u[..i], v[..j])`.
-    #[inline]
-    pub fn prefix_score(&self, i: usize, j: usize) -> Score {
-        self.cells[i * self.cols + j]
-    }
-
-    /// `P_score(u, v)`.
-    pub fn score(&self) -> Score {
-        self.cells[self.rows * self.cols - 1]
-    }
-
-    /// The final row: `P_score(u, v[..j])` for every `j`. Used by the
-    /// interval oracle to read off all end positions in one sweep.
-    pub fn last_row(&self) -> &[Score] {
-        &self.cells[(self.rows - 1) * self.cols..]
-    }
-
-    /// Trace back one optimal alignment as monotone column pairs
-    /// covering every symbol of both words; `None` marks a `⊥`.
-    pub fn traceback(
-        &self,
-        sigma: &ScoreTable,
-        u: &[Sym],
-        v: &[Sym],
-    ) -> Vec<(Option<usize>, Option<usize>)> {
-        traceback_from(&self.cells, self.cols, sigma, u, v)
-    }
-}
-
-/// [`DpMatrix::traceback`] over any row-major `(|u|+1) × (|v|+1)`
-/// prefix-score grid — shared with [`crate::DpWorkspace::align_words`],
-/// whose grid lives in the workspace scratch rather than a `DpMatrix`.
+/// Trace back one optimal alignment through a filled row-major
+/// `(|u|+1) × (|v|+1)` prefix-score grid (the
+/// [`crate::DpWorkspace::align_words`] scratch) as monotone column
+/// pairs covering every symbol of both words; `None` marks a `⊥`.
 pub(crate) fn traceback_from(
     cells: &[Score],
     cols: usize,
@@ -119,13 +57,15 @@ pub(crate) fn traceback_from(
 ///
 /// This is the **scalar reference kernel** and is deliberately kept
 /// exactly in the textbook shape even though the profiled
-/// split-recurrence kernels in [`crate::kernel`] outrun it: its
+/// split-recurrence kernel in [`crate::kernel`] outruns it: its
 /// correctness is auditable against the recurrence by eye, it takes
 /// an arbitrary score *closure* (no profile build, no admissibility
-/// conditions), and the `proptest_kernels` differential net pins every
-/// faster path — profiled, blocked, banded, wavefront — against its
-/// output bit for bit. Optimising it would replace the measuring stick
-/// with the thing being measured.
+/// conditions), and the `proptest_kernels` differential net pins the
+/// profiled kernel and every workspace entry point against its output
+/// bit for bit. Production runs it only where profiling does not pay
+/// (fills under [`crate::PROFILE_MIN_CELLS`]) or is refused (profiles
+/// over [`crate::PROFILE_MAX_CELLS`]). Optimising it would replace the
+/// measuring stick with the thing being measured.
 pub(crate) fn fill_rolling<F: Fn(Sym, Sym) -> Score>(
     score: F,
     u: &[Sym],
@@ -176,11 +116,11 @@ pub fn p_score(sigma: &ScoreTable, u: &[Sym], v: &[Sym]) -> Score {
     }
 }
 
-/// Optimal alignment with traceback: `(score, columns)`.
+/// Optimal alignment with traceback: `(score, columns)`. Allocates a
+/// fresh workspace per call; [`crate::DpWorkspace::align_words`] is
+/// the reusing variant.
 pub fn align_words(sigma: &ScoreTable, u: &[Sym], v: &[Sym]) -> (Score, AlignColumns) {
-    let m = DpMatrix::fill(sigma, u, v);
-    let cols = m.traceback(sigma, u, v);
-    (m.score(), cols)
+    crate::DpWorkspace::new().align_words(sigma, u, v)
 }
 
 /// [`SiteAligner`] backed by the full DP: layouts built with it realise
@@ -280,18 +220,19 @@ mod tests {
         let t = sigma_diag(&[(0, 10, 4), (1, 11, 3)]);
         let u = w(&[0, 1]);
         let v = w(&[10, 11]);
-        let m = DpMatrix::fill(&t, &u, &v);
+        let prefix = |i: usize, j: usize| p_score(&t, &u[..i], &v[..j]);
         for i in 0..=u.len() {
             for j in 1..=v.len() {
-                assert!(m.prefix_score(i, j) >= m.prefix_score(i, j - 1));
+                assert!(prefix(i, j) >= prefix(i, j - 1));
             }
         }
         for j in 0..=v.len() {
             for i in 1..=u.len() {
-                assert!(m.prefix_score(i, j) >= m.prefix_score(i - 1, j));
+                assert!(prefix(i, j) >= prefix(i - 1, j));
             }
         }
-        assert_eq!(m.last_row(), &[0, 4, 7]);
+        let last_row: Vec<Score> = (0..=v.len()).map(|j| prefix(u.len(), j)).collect();
+        assert_eq!(last_row, [0, 4, 7]);
     }
 
     #[test]

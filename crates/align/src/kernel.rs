@@ -27,11 +27,6 @@
 //!    composition computes exactly the textbook recurrence: DP values
 //!    are non-negative, so the prefix max seeded at 0 reproduces the
 //!    `cur[j-1]` chain value for value.
-//! 3. **Cache blocking** — long rows stream `prev`, `cur`, and the
-//!    profile row through cache once per row; beyond
-//!    [`KERNEL_BLOCK`] columns the sweep processes column blocks
-//!    across *all* rows, carrying the block-boundary column in a side
-//!    buffer, so each block's working set stays in L1/L2.
 //!
 //! The reference kernel stays exactly as it was: the differential net
 //! in `crates/align/tests/proptest_kernels.rs` pins every path here
@@ -39,12 +34,6 @@
 
 use fragalign_model::{Score, ScoreTable, Sym};
 use std::collections::HashMap;
-
-/// Column-block width of the blocked sweep. Three `i64` lanes
-/// (`prev`, `cur`, one profile row) at this width occupy ~12 KiB —
-/// comfortably inside a 32 KiB L1d next to the carry column and loop
-/// state. Exposed so the bench and the boundary tests can straddle it.
-pub const KERNEL_BLOCK: usize = 512;
 
 /// Profiles larger than this many cells (distinct row symbols ×
 /// columns) are not built: a degenerate word whose symbols are all
@@ -201,13 +190,6 @@ impl QueryProfile {
     pub(crate) fn row(&self, r: u32) -> &[Score] {
         &self.rows[r as usize * self.cols..(r as usize + 1) * self.cols]
     }
-
-    /// `σ(u_row, v[j])` for profile row `r` — the wavefront's per-cell
-    /// lookup.
-    #[inline]
-    pub(crate) fn cell(&self, r: u32, j: usize) -> Score {
-        self.rows[r as usize * self.cols + j]
-    }
 }
 
 /// The profiled split-recurrence sweep over caller-provided buffers:
@@ -217,26 +199,24 @@ impl QueryProfile {
 /// `row_of[i]` names the profile row of DP row `i + 1`; columns come
 /// from the profile slice `[offset, offset + len)` (the oracle's
 /// suffix sweep passes `offset = d` against one whole-word build).
-/// `block` is the column-block width: pass [`KERNEL_BLOCK`] for the
-/// cache-blocked sweep or `usize::MAX` to force a single unblocked
-/// pass (the bench measures both). On return `prev[..=len]` holds the
-/// final DP row, exactly as the scalar kernel leaves it.
+/// Each row is one split sweep: pass 1 `t[j] = max(prev[j-1] +
+/// s[j-1], prev[j])` (branchless, reads only the previous row — the
+/// autovectorisable half), pass 2 the sequential prefix-max carry. On
+/// return `prev[..=len]` holds the final DP row, exactly as the scalar
+/// kernel leaves it.
 ///
 /// Buffers may arrive dirty from larger fills; everything read is
-/// rewritten first (`prev` is zeroed to the fill width, `carry` to
-/// the row count) so stale tails from earlier, wider fills cannot
-/// leak in — pinned by the shrink regression in `proptest_kernels`.
-#[allow(clippy::too_many_arguments)]
+/// rewritten first (`prev` is zeroed to the fill width, `cur[0]` per
+/// row) so stale tails from earlier, wider fills cannot leak in —
+/// pinned by the shrink regression in `proptest_kernels`.
 pub fn fill_profiled(
     profile: &QueryProfile,
     generation: u64,
     row_of: &[u32],
     offset: usize,
     len: usize,
-    block: usize,
     prev: &mut Vec<Score>,
     cur: &mut Vec<Score>,
-    carry: &mut Vec<Score>,
 ) -> Score {
     debug_assert_eq!(
         generation, profile.generation,
@@ -244,7 +224,6 @@ pub fn fill_profiled(
     );
     debug_assert!(offset + len <= profile.cols || len == 0);
     let cols = len + 1;
-    let rows = row_of.len();
     if prev.len() < cols {
         prev.resize(cols, 0);
     }
@@ -252,107 +231,33 @@ pub fn fill_profiled(
         cur.resize(cols, 0);
     }
     prev[..cols].fill(0);
-    if rows == 0 || len == 0 {
-        return prev[cols - 1];
+    if len == 0 {
+        return 0;
     }
-    if len <= block {
-        // Unblocked: one split sweep per row.
-        for &r in row_of {
-            let s = &profile.row(r)[offset..offset + len];
-            sweep_block(s, 0, &prev[..cols], &mut cur[..cols]);
-            std::mem::swap(prev, cur);
+    for &r in row_of {
+        let s = &profile.row(r)[offset..offset + len];
+        // Pass 1 into cur[1..]: no dependency on cur, so the compiler
+        // can pack lanes (i64 max lowers to compare+select).
+        let up = &prev[1..cols];
+        let diag = &prev[..len];
+        let out = &mut cur[1..cols];
+        for j in 0..len {
+            let t = diag[j] + s[j];
+            out[j] = if t > up[j] { t } else { up[j] };
         }
-        return prev[len];
-    }
-
-    // Blocked: column blocks across *all* rows, the block-boundary
-    // column carried per row. `carry[i]` holds `M[i][done]`, the DP
-    // value of row `i` at the last finished column. The block-local
-    // rolling rows live in the two halves of `cur` so `prev` can
-    // accumulate the final DP row at full width as blocks retire —
-    // the contract (`prev` = last row) costs nothing extra.
-    let bcap = block + 1;
-    if cur.len() < 2 * bcap {
-        cur.resize(2 * bcap, 0);
-    }
-    if carry.len() < rows + 1 {
-        carry.resize(rows + 1, 0);
-    }
-    carry[..=rows].fill(0);
-    prev[..cols].fill(0);
-    let mut done = 0;
-    while done < len {
-        let bw = block.min(len - done);
-        let (ra, rb) = cur.split_at_mut(bcap);
-        // Rolling rows over columns `done+1 ..= done+bw`.
-        let mut pd: &mut [Score] = &mut ra[..bw];
-        let mut pu: &mut [Score] = &mut rb[..bw];
-        pd.fill(0); // DP row 0 is the zero base row
-                    // `above` = `M[i-1][done]`, the diagonal source of the block's
-                    // first cell — stashed because `carry[i-1]` was already
-                    // advanced to this block's right edge by the previous row.
-        let mut above = 0;
-        for (i, &r) in row_of.iter().enumerate() {
-            let left = carry[i + 1];
-            let s = &profile.row(r)[offset + done..offset + done + bw];
-            // Pass 1; the first cell reads the boundary diagonal.
-            let t0 = above + s[0];
-            pu[0] = if t0 > pd[0] { t0 } else { pd[0] };
-            for j in 1..bw {
-                let t = pd[j - 1] + s[j];
-                pu[j] = if t > pd[j] { t } else { pd[j] };
+        // Pass 2: the left carry.
+        cur[0] = 0;
+        let mut run = 0;
+        for c in cur[1..cols].iter_mut() {
+            if *c > run {
+                run = *c;
+            } else {
+                *c = run;
             }
-            // Pass 2: prefix max seeded with the row's left boundary.
-            let mut run = left;
-            for c in pu.iter_mut() {
-                if *c > run {
-                    run = *c;
-                } else {
-                    *c = run;
-                }
-            }
-            above = left;
-            carry[i + 1] = pu[bw - 1];
-            if i + 1 == rows {
-                prev[done + 1..done + 1 + bw].copy_from_slice(pu);
-            }
-            std::mem::swap(&mut pd, &mut pu);
         }
-        done += bw;
+        std::mem::swap(prev, cur);
     }
-    let score = carry[rows];
-    debug_assert_eq!(prev[len], score);
-    score
-}
-
-/// One row of the split recurrence over a column window:
-/// pass 1 `t[j] = max(prev[j-1] + s[j-1], prev[j])` (branchless,
-/// reads only the previous row — the autovectorisable half), pass 2
-/// the sequential prefix-max carry. `left` seeds the carry (0 for an
-/// unblocked row, the previous block's boundary value otherwise).
-#[inline]
-fn sweep_block(s: &[Score], left: Score, prev: &[Score], cur: &mut [Score]) {
-    let len = s.len();
-    debug_assert!(prev.len() == len + 1 && cur.len() == len + 1);
-    // Pass 1 into cur[1..]: no dependency on cur, so the compiler can
-    // pack lanes (i64 max lowers to compare+select).
-    let up = &prev[1..len + 1];
-    let diag = &prev[..len];
-    let out = &mut cur[1..len + 1];
-    for j in 0..len {
-        let t = diag[j] + s[j];
-        out[j] = if t > up[j] { t } else { up[j] };
-    }
-    // Pass 2: the left carry.
-    cur[0] = 0;
-    let mut run = left.max(0);
-    for c in cur[1..len + 1].iter_mut() {
-        if *c > run {
-            run = *c;
-        } else {
-            *c = run;
-        }
-    }
+    prev[len]
 }
 
 #[cfg(test)]
@@ -408,16 +313,13 @@ mod tests {
         swap: bool,
         offset: usize,
         len: usize,
-        block: usize,
     ) -> (Score, Vec<Score>) {
         let mut p = QueryProfile::default();
         let generation = p.build(sigma, u, v, swap).expect("profile fits");
         let mut row_of = Vec::new();
         p.map_rows(u, &mut row_of);
-        let (mut prev, mut cur, mut carry) = (Vec::new(), Vec::new(), Vec::new());
-        let s = fill_profiled(
-            &p, generation, &row_of, offset, len, block, &mut prev, &mut cur, &mut carry,
-        );
+        let (mut prev, mut cur) = (Vec::new(), Vec::new());
+        let s = fill_profiled(&p, generation, &row_of, offset, len, &mut prev, &mut cur);
         (s, prev[..=len].to_vec())
     }
 
@@ -432,27 +334,27 @@ mod tests {
     }
 
     #[test]
-    fn profiled_matches_scalar_across_shapes_and_blocks() {
+    fn profiled_matches_scalar_across_shapes() {
         for (seed, lu, lv, syms, default) in [
             (1, 0, 7, 4, 0),
             (2, 7, 0, 4, 0),
             (3, 5, 9, 3, -1),
             (4, 40, 600, 8, 0),
-            (5, 9, KERNEL_BLOCK - 1, 6, -2),
-            (6, 9, KERNEL_BLOCK, 6, 0),
-            (7, 9, KERNEL_BLOCK + 1, 6, 0),
-            (8, 17, 2 * KERNEL_BLOCK + 5, 12, -1),
+            (5, 9, 511, 6, -2),
+            (6, 1, 1, 6, 0),
+            (7, 600, 9, 6, 0),
+            (8, 17, 1029, 12, -1),
         ] {
             let sigma = table(seed, syms, default);
             let u = word(seed + 10, lu, syms, 0);
             let v = word(seed + 20, lv, syms, 1000);
-            for swap in [false, true] {
-                let (want, want_row) = scalar(&sigma, &u, &v, swap);
-                for block in [usize::MAX, KERNEL_BLOCK, 64, 1] {
-                    let (got, got_row) = profiled(&sigma, &u, &v, swap, 0, v.len(), block);
-                    assert_eq!(got, want, "seed {seed} swap {swap} block {block}");
-                    assert_eq!(got_row, want_row, "final row, seed {seed} block {block}");
-                }
+            // The H word on the rows, then the M word on the rows
+            // (σ probed `(column, row)`).
+            for (rows, cols, swap) in [(&u, &v, false), (&v, &u, true)] {
+                let (want, want_row) = scalar(&sigma, rows, cols, swap);
+                let (got, got_row) = profiled(&sigma, rows, cols, swap, 0, cols.len());
+                assert_eq!(got, want, "seed {seed} swap {swap}");
+                assert_eq!(got_row, want_row, "final row, seed {seed} swap {swap}");
             }
         }
     }
@@ -466,19 +368,9 @@ mod tests {
         let generation = p.build(&sigma, &u, &v, false).unwrap();
         let mut row_of = Vec::new();
         p.map_rows(&u, &mut row_of);
-        let (mut prev, mut cur, mut carry) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut prev, mut cur) = (Vec::new(), Vec::new());
         for d in 0..=v.len() {
-            let got = fill_profiled(
-                &p,
-                generation,
-                &row_of,
-                d,
-                v.len() - d,
-                KERNEL_BLOCK,
-                &mut prev,
-                &mut cur,
-                &mut carry,
-            );
+            let got = fill_profiled(&p, generation, &row_of, d, v.len() - d, &mut prev, &mut cur);
             let (want, want_row) = scalar(&sigma, &u, &v[d..], false);
             assert_eq!(got, want, "suffix {d}");
             assert_eq!(&prev[..=v.len() - d], &want_row[..], "suffix row {d}");

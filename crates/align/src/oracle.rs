@@ -12,19 +12,59 @@
 //! * **site pairs** `MS(h̄, m̄)` for arbitrary site pairs, used by the
 //!   improvement methods.
 //!
-//! Reads take a shared lock; misses fill under a write lock. The
-//! oracle is `Sync` and shared across rayon workers.
+//! The oracle is `Sync` and shared across rayon workers, and every
+//! cache is **single-flight**: a key's first lookup creates an empty
+//! slot under the write lock and fills it outside the lock; concurrent
+//! lookups of the same key wait on the slot instead of running the DP
+//! again. Exactly one thread fills each key and counts the miss, so
+//! the fill and miss counters are the same at every pool width.
 
 use crate::dp::fill_rolling;
-use crate::kernel::{fill_profiled, KERNEL_BLOCK};
+use crate::kernel::fill_profiled;
 use crate::workspace::DpWorkspace;
 use fragalign_model::symbol::reverse_word_in_place;
 use fragalign_model::{FragId, Instance, Orient, Score, Site, Sym};
 use fragalign_obs::TraceHandle;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// One cache entry: created empty under the map's write lock, filled
+/// exactly once outside it.
+type Slot<V> = Arc<OnceLock<V>>;
+
+/// A single-flight memo table.
+type Memo<K, V> = RwLock<HashMap<K, Slot<V>>>;
+
+/// Look `key` up in `memo`, running `fill` on a miss. Of all threads
+/// that miss the same key concurrently, exactly one runs `fill` and
+/// counts a miss; the others block on the slot until it is filled and
+/// count a hit. A fill that panics leaves the slot empty, so the next
+/// lookup retries.
+fn single_flight<K: Hash + Eq, V: Clone>(
+    memo: &Memo<K, V>,
+    key: K,
+    hits: &AtomicU64,
+    misses: &AtomicU64,
+    fill: impl FnOnce() -> V,
+) -> V {
+    if let Some(v) = memo.read().get(&key).and_then(|slot| slot.get()) {
+        hits.fetch_add(1, Ordering::Relaxed);
+        return v.clone();
+    }
+    let slot = Arc::clone(memo.write().entry(key).or_default());
+    let mut filled = false;
+    let v = slot
+        .get_or_init(|| {
+            filled = true;
+            fill()
+        })
+        .clone();
+    if filled { misses } else { hits }.fetch_add(1, Ordering::Relaxed);
+    v
+}
 
 /// `MS(h, m(d, e))` for all `0 ≤ d ≤ e ≤ |m|`, plus the winning
 /// orientation. Flat `(n+1)²` storage.
@@ -142,9 +182,9 @@ impl OracleStats {
 /// Shared, thread-safe score oracle over one instance.
 pub struct ScoreOracle<'a> {
     inst: &'a Instance,
-    tables: RwLock<HashMap<(FragId, FragId), Arc<IntervalTable>>>,
-    pairs: RwLock<HashMap<(Site, Site), (Score, Orient)>>,
-    oriented: RwLock<HashMap<(Site, Site, Orient), Score>>,
+    tables: Memo<(FragId, FragId), Arc<IntervalTable>>,
+    pairs: Memo<(Site, Site), (Score, Orient)>,
+    oriented: Memo<(Site, Site, Orient), Score>,
     /// Warm DP buffers, one checked out per cache miss. Workers in a
     /// parallel sweep each pop their own workspace, so fills never
     /// serialise on this lock.
@@ -245,14 +285,11 @@ impl<'a> ScoreOracle<'a> {
     /// The interval table of whole-fragment `plug` against intervals of
     /// `container`. `plug` and `container` may be any two fragments of
     /// opposite species (either order); scores are computed with σ
-    /// applied H-side-first. Thin wrapper over
-    /// [`ScoreOracle::interval_table_with`] using a pooled workspace.
+    /// applied H-side-first. A miss fills through a pooled workspace.
     pub fn interval_table(&self, plug: FragId, container: FragId) -> Arc<IntervalTable> {
-        if let Some(t) = self.tables.read().get(&(plug, container)) {
-            self.stats.table_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(t);
-        }
-        self.with_pooled(|ws| self.interval_table_with(plug, container, ws))
+        self.table_memo(plug, container, || {
+            self.with_pooled(|ws| self.build_table(plug, container, ws))
+        })
     }
 
     /// [`ScoreOracle::interval_table`] filling through a caller-owned
@@ -263,16 +300,23 @@ impl<'a> ScoreOracle<'a> {
         container: FragId,
         ws: &mut DpWorkspace,
     ) -> Arc<IntervalTable> {
-        if let Some(t) = self.tables.read().get(&(plug, container)) {
-            self.stats.table_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(t);
-        }
-        self.stats.table_misses.fetch_add(1, Ordering::Relaxed);
-        let table = Arc::new(self.build_table(plug, container, ws));
-        self.tables
-            .write()
-            .insert((plug, container), Arc::clone(&table));
-        table
+        self.table_memo(plug, container, || self.build_table(plug, container, ws))
+    }
+
+    fn table_memo(
+        &self,
+        plug: FragId,
+        container: FragId,
+        build: impl FnOnce() -> IntervalTable,
+    ) -> Arc<IntervalTable> {
+        let stats = &self.stats;
+        single_flight(
+            &self.tables,
+            (plug, container),
+            &stats.table_hits,
+            &stats.table_misses,
+            || Arc::new(build()),
+        )
     }
 
     fn build_table(&self, plug: FragId, container: FragId, ws: &mut DpWorkspace) -> IntervalTable {
@@ -312,10 +356,8 @@ impl<'a> ScoreOracle<'a> {
                         &ws.row_map,
                         d.min(w.len()),
                         v.len(),
-                        KERNEL_BLOCK,
                         &mut ws.prev,
                         &mut ws.cur,
-                        &mut ws.carry,
                     );
                 } else if h_first {
                     // Profile over the cap: scalar fallback.
@@ -372,32 +414,34 @@ impl<'a> ScoreOracle<'a> {
     }
 
     /// `MS(h̄, m̄)` with memoisation. `h` must be an H-species site and
-    /// `m` an M-species site. Thin wrapper over
-    /// [`ScoreOracle::ms_with`] using a pooled workspace.
+    /// `m` an M-species site. A miss fills through a pooled workspace.
     pub fn ms(&self, h: Site, m: Site) -> (Score, Orient) {
-        if let Some(&v) = self.pairs.read().get(&(h, m)) {
-            self.stats.pair_hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.with_pooled(|ws| self.ms_with(h, m, ws))
+        self.pair_memo(&self.pairs, (h, m), || {
+            self.with_pooled(|ws| self.fill_ms(h, m, ws))
+        })
     }
 
     /// [`ScoreOracle::ms`] filling through a caller-owned workspace on
     /// a miss.
     pub fn ms_with(&self, h: Site, m: Site, ws: &mut DpWorkspace) -> (Score, Orient) {
-        let key = (h, m);
-        if let Some(&v) = self.pairs.read().get(&key) {
-            self.stats.pair_hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.stats.pair_misses.fetch_add(1, Ordering::Relaxed);
-        let v = ws.ms_words(
-            &self.inst.sigma,
-            self.inst.site_word(h),
-            self.inst.site_word(m),
-        );
-        self.pairs.write().insert(key, v);
-        v
+        self.pair_memo(&self.pairs, (h, m), || self.fill_ms(h, m, ws))
+    }
+
+    fn fill_ms(&self, h: Site, m: Site, ws: &mut DpWorkspace) -> (Score, Orient) {
+        let inst = self.inst;
+        ws.ms_words(&inst.sigma, inst.site_word(h), inst.site_word(m))
+    }
+
+    /// Site-pair lookups share one pair of hit/miss counters across
+    /// the free-orientation and pinned-orientation memos.
+    fn pair_memo<K: Hash + Eq, V: Clone>(
+        &self,
+        memo: &Memo<K, V>,
+        key: K,
+        fill: impl FnOnce() -> V,
+    ) -> V {
+        let stats = &self.stats;
+        single_flight(memo, key, &stats.pair_hits, &stats.pair_misses, fill)
     }
 
     /// `MS(plug fragment, container(d, e))` through the interval table.
@@ -413,14 +457,12 @@ impl<'a> ScoreOracle<'a> {
 
     /// `P_score` under a pinned relative orientation, memoised. Border
     /// matches need this: their orientation is forced by the staircase
-    /// end condition, not free to maximise. Thin wrapper over
-    /// [`ScoreOracle::ms_oriented_with`] using a pooled workspace.
+    /// end condition, not free to maximise. A miss fills through a
+    /// pooled workspace.
     pub fn ms_oriented(&self, h: Site, m: Site, orient: Orient) -> Score {
-        if let Some(&v) = self.oriented.read().get(&(h, m, orient)) {
-            self.stats.pair_hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.with_pooled(|ws| self.ms_oriented_with(h, m, orient, ws))
+        self.pair_memo(&self.oriented, (h, m, orient), || {
+            self.with_pooled(|ws| self.fill_oriented(h, m, orient, ws))
+        })
     }
 
     /// [`ScoreOracle::ms_oriented`] filling through a caller-owned
@@ -432,20 +474,14 @@ impl<'a> ScoreOracle<'a> {
         orient: Orient,
         ws: &mut DpWorkspace,
     ) -> Score {
-        let key = (h, m, orient);
-        if let Some(&v) = self.oriented.read().get(&key) {
-            self.stats.pair_hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.stats.pair_misses.fetch_add(1, Ordering::Relaxed);
-        let v = ws.p_score_oriented(
-            &self.inst.sigma,
-            self.inst.site_word(h),
-            self.inst.site_word(m),
-            orient,
-        );
-        self.oriented.write().insert(key, v);
-        v
+        self.pair_memo(&self.oriented, (h, m, orient), || {
+            self.fill_oriented(h, m, orient, ws)
+        })
+    }
+
+    fn fill_oriented(&self, h: Site, m: Site, orient: Orient, ws: &mut DpWorkspace) -> Score {
+        let inst = self.inst;
+        ws.p_score_oriented(&inst.sigma, inst.site_word(h), inst.site_word(m), orient)
     }
 
     /// Drop all cached entries (used by the cache ablation bench).

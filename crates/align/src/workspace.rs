@@ -13,105 +13,29 @@
 //! keeps a pool of them and checks one out per cache miss, so shared
 //! oracles stay `Sync` without serialising fills.
 
-use crate::banded::fill_banded;
 use crate::dp::{fill_rolling, traceback_from};
-use crate::kernel::{fill_profiled, QueryProfile, KERNEL_BLOCK, PROFILE_MIN_CELLS};
+use crate::kernel::{fill_profiled, QueryProfile, PROFILE_MIN_CELLS};
 use fragalign_model::consistency::AlignColumns;
 use fragalign_model::symbol::reverse_word_in_place;
 use fragalign_model::{Orient, Score, ScoreTable, Sym};
 
-/// Which `P_score` kernel a fill runs through. Production entry points
-/// pick automatically ([`DpWorkspace::p_score`] profiles any fill
-/// large enough to amortise the build); this enum exists so the
-/// `exp_kernel` bench and the differential tests can force each path
-/// over identical inputs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelMode {
-    /// The hash-probing rolling-row reference kernel.
-    Scalar,
-    /// Query profile + split recurrence, single unblocked sweep.
-    Profiled,
-    /// Query profile + split recurrence + column blocking at
-    /// [`KERNEL_BLOCK`].
-    ProfiledBlocked,
-}
-
-/// Geometry of the positive-σ cells of one DP matrix, measured in one
-/// `O(|σ| · (|u| + |v|))` scan (σ is sparse; the DP is `O(|u| · |v|)`
-/// hash lookups). Drives the oracle's two shortcuts:
+/// Whether `u × v` has a cell that can score positively. Without one,
+/// `P_score = 0` in both orientations: non-positive columns are never
+/// chosen, so the empty padding is optimal and no DP needs to run.
+/// Conservative superset: orientation flags are ignored (a cell whose
+/// ids match a positive entry counts even if its relative orientation
+/// would miss), so the answer serves both orientations of `v`.
 ///
-/// * **early exit** — no positive cell means `P_score = 0` for both
-///   orientations: non-positive columns are never chosen, so the empty
-///   padding is optimal and no DP needs to run at all;
-/// * **provably lossless band** — every positive cell lies within
-///   `dev` of the rescaled diagonal, so a band of half-width
-///   `dev + ⌈m/n⌉ + 1` contains every positive cell, each cell's
-///   diagonal predecessor, and a monotone corridor connecting them to
-///   the base row and the final cell (consecutive row windows shift by
-///   at most `⌈m/n⌉` columns). The banded fill then equals the full
-///   DP, and the oracle selects it whenever the window is narrower
-///   than the full row.
-#[derive(Clone, Copy, Debug)]
-struct PositiveCells {
-    /// Whether any cell of the matrix can score positively.
-    any: bool,
-    /// Max deviation `|j − ⌊i·m/n⌋|` over positive cells, `v` forward.
-    dev_same: usize,
-    /// Same, with `v` reversed (column `j` ↦ `m − 1 − j`).
-    dev_rev: usize,
-}
-
-/// Scan the positive-σ cells of `u` × `v`. Conservative superset: the
-/// orientation flags of the occurrences are ignored (a cell whose ids
-/// match a positive entry counts even if its relative orientation
-/// would miss), which can only widen the band, never lose a cell.
-/// Callers must ensure `sigma.default_score <= 0` (otherwise *every*
-/// cell can be positive) and `u`, `v` non-empty.
-///
-/// Cost: `O(|σ| · |u|)` plus one `|v|` sweep per row occurrence plus
-/// the positive cells actually enumerated. Once both deviations
-/// already rule out every band (`dev > m/2` means the selected band
-/// could not beat the full row), the scan aborts — so repetitive
-/// words whose positive cells span the whole matrix cannot degenerate
-/// into an `O(|σ| · |u| · |v|)` pre-pass in front of the DP they fail
-/// to avoid.
-fn scan_positive_cells(sigma: &ScoreTable, u: &[Sym], v: &[Sym]) -> PositiveCells {
-    let n = u.len();
-    let m = v.len();
-    let mut out = PositiveCells {
-        any: false,
-        dev_same: 0,
-        dev_rev: 0,
-    };
-    // Beyond this deviation, `fill_exact` picks the rolling kernel for
-    // both orientations anyway: band = dev + ⌈m/n⌉ + 1 > m/2.
-    let hopeless = |c: &PositiveCells| c.any && c.dev_same * 2 > m && c.dev_rev * 2 > m;
-    for (a, b, _orient, s) in sigma.iter() {
-        if s <= 0 {
-            continue;
-        }
-        for (i, su) in u.iter().enumerate() {
-            if su.id != a {
-                continue;
-            }
-            let center = (i + 1) * m / n;
-            for (j, sv) in v.iter().enumerate() {
-                if sv.id != b {
-                    continue;
-                }
-                out.any = true;
-                out.dev_same = out.dev_same.max((j + 1).abs_diff(center));
-                out.dev_rev = out.dev_rev.max((m - j).abs_diff(center));
-            }
-            if hopeless(&out) {
-                return out;
-            }
-        }
-        if hopeless(&out) {
-            return out;
-        }
-    }
-    out
+/// Cost: `O(|σ| · (|u| + |v|))` in the worst case, stopping at the
+/// first positive cell — against the `O(|u| · |v|)` σ-probing DP it
+/// skips. On the simulator's short sim24 site words about half of all
+/// pair fills have no positive cell.
+fn any_positive_cell(sigma: &ScoreTable, u: &[Sym], v: &[Sym]) -> bool {
+    // With a positive default every absent pair scores positively.
+    sigma.default_score > 0
+        || sigma.iter().any(|(a, b, _orient, s)| {
+            s > 0 && u.iter().any(|x| x.id == a) && v.iter().any(|y| y.id == b)
+        })
 }
 
 /// Arena-style buffers for the `P_score` kernels.
@@ -124,8 +48,6 @@ pub struct DpWorkspace {
     pub(crate) prev: Vec<Score>,
     /// Rolling DP row `i`.
     pub(crate) cur: Vec<Score>,
-    /// Third rolling buffer (wavefront diagonals).
-    pub(crate) aux: Vec<Score>,
     /// Reversed-word scratch for orientation searches.
     pub(crate) rev: Vec<Sym>,
     /// Whole-table scratch for the oracle's reversed-interval pass.
@@ -135,8 +57,6 @@ pub struct DpWorkspace {
     pub(crate) profile: QueryProfile,
     /// Row-symbol → profile-row resolution of the last profiled fill.
     pub(crate) row_map: Vec<u32>,
-    /// Block-boundary column carry of the blocked kernel.
-    pub(crate) carry: Vec<Score>,
     fills: u64,
     reallocs: u64,
 }
@@ -174,14 +94,6 @@ impl DpWorkspace {
         }
     }
 
-    /// Count an impending growth of the wavefront's third buffer (the
-    /// sweep itself performs the resize).
-    fn note_aux(&mut self, len: usize) {
-        if self.aux.len() < len {
-            self.reallocs += 1;
-        }
-    }
-
     /// `P_score(u, v)` into reused buffers; bit-identical to
     /// [`crate::p_score`]. Fills large enough to amortise a profile
     /// build ([`PROFILE_MIN_CELLS`]) run hash-free through the
@@ -200,7 +112,7 @@ impl DpWorkspace {
         };
         self.note_fill(b.len() + 1);
         if a.len() * b.len() >= PROFILE_MIN_CELLS {
-            if let Some(s) = self.fill_with_profile(sigma, a, b, swapped, KERNEL_BLOCK) {
+            if let Some(s) = self.fill_with_profile(sigma, a, b, swapped) {
                 return s;
             }
         }
@@ -239,7 +151,6 @@ impl DpWorkspace {
         a: &[Sym],
         b: &[Sym],
         swapped: bool,
-        block: usize,
     ) -> Option<Score> {
         let generation = self.profile.build(sigma, a, b, swapped)?;
         self.profile.map_rows(a, &mut self.row_map);
@@ -249,44 +160,9 @@ impl DpWorkspace {
             &self.row_map,
             0,
             b.len(),
-            block,
             &mut self.prev,
             &mut self.cur,
-            &mut self.carry,
         ))
-    }
-
-    /// `P_score(u, v)` through one forced kernel path — the bench and
-    /// differential-test hook. All modes perform the same
-    /// shorter-word-on-columns swap, so they time identical problems;
-    /// the profiled modes fall back to scalar only when the profile
-    /// exceeds [`crate::PROFILE_MAX_CELLS`]. Bit-identical across
-    /// modes.
-    pub fn p_score_kernel(
-        &mut self,
-        sigma: &ScoreTable,
-        u: &[Sym],
-        v: &[Sym],
-        mode: KernelMode,
-    ) -> Score {
-        if u.is_empty() || v.is_empty() {
-            return 0;
-        }
-        let (a, b, swapped) = if v.len() <= u.len() {
-            (u, v, false)
-        } else {
-            (v, u, true)
-        };
-        self.note_fill(b.len() + 1);
-        let block = match mode {
-            KernelMode::Scalar => return self.fill_scalar(sigma, a, b, swapped),
-            KernelMode::Profiled => usize::MAX,
-            KernelMode::ProfiledBlocked => KERNEL_BLOCK,
-        };
-        match self.fill_with_profile(sigma, a, b, swapped, block) {
-            Some(s) => s,
-            None => self.fill_scalar(sigma, a, b, swapped),
-        }
     }
 
     /// Optimal alignment with traceback into the reused whole-table
@@ -335,93 +211,15 @@ impl DpWorkspace {
         (score, columns)
     }
 
-    /// Banded `P_score` into reused buffers; bit-identical to
-    /// [`crate::p_score_banded`].
-    pub fn p_score_banded(
-        &mut self,
-        sigma: &ScoreTable,
-        u: &[Sym],
-        v: &[Sym],
-        band: usize,
-    ) -> Score {
-        if u.is_empty() || v.is_empty() {
-            return 0;
-        }
-        self.note_fill((2 * band + 1).min(v.len() + 1));
-        fill_banded(sigma, u, v, band, &mut self.prev, &mut self.cur)
-    }
-
-    /// Whether the positive-cell scan applies: with a positive default
-    /// score every cell can be positive and neither shortcut is sound.
-    #[inline]
-    fn can_scan(sigma: &ScoreTable) -> bool {
-        sigma.default_score <= 0
-    }
-
-    /// Run the provably exact fill for one orientation given the
-    /// positive-cell deviation `dev`: the banded kernel at half-width
-    /// `dev + ⌈m/n⌉ + 1` when that window is narrower than the full
-    /// row, the rolling kernel otherwise.
-    fn fill_exact(&mut self, sigma: &ScoreTable, u: &[Sym], v: &[Sym], dev: usize) -> Score {
-        let n = u.len();
-        let m = v.len();
-        let band = dev + m.div_ceil(n) + 1;
-        if 2 * band + 1 < m + 1 {
-            self.note_fill(2 * band + 1);
-            fill_banded(sigma, u, v, band, &mut self.prev, &mut self.cur)
-        } else {
-            self.p_score(sigma, u, v)
-        }
-    }
-
-    /// `P_score` choosing the cheapest provably exact route: early
-    /// exit when no cell can score positively, the lossless band when
-    /// the positive cells hug the rescaled diagonal, the plain rolling
-    /// fill otherwise. Always equals [`crate::p_score`].
-    pub fn p_score_auto(&mut self, sigma: &ScoreTable, u: &[Sym], v: &[Sym]) -> Score {
-        if u.is_empty() || v.is_empty() {
-            return 0;
-        }
-        if !Self::can_scan(sigma) {
-            return self.p_score(sigma, u, v);
-        }
-        let cells = scan_positive_cells(sigma, u, v);
-        if !cells.any {
-            return 0;
-        }
-        self.fill_exact(sigma, u, v, cells.dev_same)
-    }
-
     /// `MS(u, v)` — the orientation max — into reused buffers,
-    /// including the reversed-word scratch. One positive-cell scan
+    /// including the reversed-word scratch. One positive-cell check
     /// serves both orientations. Bit-identical to [`crate::ms_words`].
     pub fn ms_words(&mut self, sigma: &ScoreTable, u: &[Sym], v: &[Sym]) -> (Score, Orient) {
-        if u.is_empty() || v.is_empty() {
+        if u.is_empty() || v.is_empty() || !any_positive_cell(sigma, u, v) {
             return (0, Orient::Same);
         }
-        let cells = if Self::can_scan(sigma) {
-            Some(scan_positive_cells(sigma, u, v))
-        } else {
-            None
-        };
-        if let Some(c) = cells {
-            if !c.any {
-                return (0, Orient::Same);
-            }
-        }
-        let same = match cells {
-            Some(c) => self.fill_exact(sigma, u, v, c.dev_same),
-            None => self.p_score(sigma, u, v),
-        };
-        let mut rev = std::mem::take(&mut self.rev);
-        rev.clear();
-        rev.extend_from_slice(v);
-        reverse_word_in_place(&mut rev);
-        let reversed = match cells {
-            Some(c) => self.fill_exact(sigma, u, &rev, c.dev_rev),
-            None => self.p_score(sigma, u, &rev),
-        };
-        self.rev = rev;
+        let same = self.p_score(sigma, u, v);
+        let reversed = self.p_score_reversed(sigma, u, v);
         if reversed > same {
             (reversed, Orient::Reversed)
         } else {
@@ -438,30 +236,24 @@ impl DpWorkspace {
         v: &[Sym],
         orient: Orient,
     ) -> Score {
-        match orient {
-            Orient::Same => self.p_score_auto(sigma, u, v),
-            Orient::Reversed => {
-                if u.is_empty() || v.is_empty() {
-                    return 0;
-                }
-                let mut rev = std::mem::take(&mut self.rev);
-                rev.clear();
-                rev.extend_from_slice(v);
-                reverse_word_in_place(&mut rev);
-                let s = if Self::can_scan(sigma) {
-                    let cells = scan_positive_cells(sigma, u, v);
-                    if !cells.any {
-                        0
-                    } else {
-                        self.fill_exact(sigma, u, &rev, cells.dev_rev)
-                    }
-                } else {
-                    self.p_score(sigma, u, &rev)
-                };
-                self.rev = rev;
-                s
-            }
+        if u.is_empty() || v.is_empty() || !any_positive_cell(sigma, u, v) {
+            return 0;
         }
+        match orient {
+            Orient::Same => self.p_score(sigma, u, v),
+            Orient::Reversed => self.p_score_reversed(sigma, u, v),
+        }
+    }
+
+    /// `P_score(u, v^R)` with `v^R` built in the reversed-word scratch.
+    fn p_score_reversed(&mut self, sigma: &ScoreTable, u: &[Sym], v: &[Sym]) -> Score {
+        let mut rev = std::mem::take(&mut self.rev);
+        rev.clear();
+        rev.extend_from_slice(v);
+        reverse_word_in_place(&mut rev);
+        let s = self.p_score(sigma, u, &rev);
+        self.rev = rev;
+        s
     }
 
     /// Detach the whole-table scratch at `len` cells, zeroed. Pair
@@ -480,18 +272,6 @@ impl DpWorkspace {
     /// Return the scratch detached by [`DpWorkspace::take_grid`].
     pub(crate) fn put_grid(&mut self, g: Vec<Score>) {
         self.grid = g;
-    }
-
-    /// Borrow the three wavefront diagonal buffers. Growth and zeroing
-    /// are the wavefront sweep's job; this only accounts for the fill
-    /// and any growth it is about to cause.
-    pub(crate) fn diagonals(
-        &mut self,
-        len: usize,
-    ) -> (&mut Vec<Score>, &mut Vec<Score>, &mut Vec<Score>) {
-        self.note_fill(len);
-        self.note_aux(len);
-        (&mut self.prev, &mut self.cur, &mut self.aux)
     }
 }
 
@@ -544,7 +324,6 @@ mod tests {
             let u = word(lu as u64 + 1, lu, 8, 0);
             let v = word(lv as u64 + 2, lv, 8, 1000);
             assert_eq!(ws.p_score(&t, &u, &v), p_score(&t, &u, &v), "{lu}x{lv}");
-            assert_eq!(ws.p_score_auto(&t, &u, &v), p_score(&t, &u, &v));
         }
     }
 

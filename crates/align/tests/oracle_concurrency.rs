@@ -1,7 +1,8 @@
 //! Hammer one shared `ScoreOracle` from many threads: results must be
 //! stable (no torn cache fills under the `parking_lot` shim), the
-//! hit/miss counters coherent, and the workspace pool must neither
-//! lose nor fabricate fills.
+//! hit/miss counters coherent, every key filled exactly once (the
+//! caches are single-flight), and the workspace pool must neither lose
+//! nor fabricate fills.
 
 use fragalign_align::ScoreOracle;
 use fragalign_model::{FragId, Fragment, Instance, Orient, ScoreTable, Site, Sym};
@@ -111,16 +112,14 @@ fn concurrent_queries_are_stable_and_counters_coherent() {
         }
     });
 
-    // Counter coherence: every lookup is either a hit or a miss.
+    // Counter coherence: every lookup is either a hit or a miss, and
+    // single-flight fills each distinct key exactly once, however the
+    // threads race.
     let table_lookups = (THREADS * ROUNDS * queries.len()) as u64;
     let hits = oracle.stats.table_hits.load(Ordering::Relaxed);
     let misses = oracle.stats.table_misses.load(Ordering::Relaxed);
     assert_eq!(hits + misses, table_lookups, "table lookups miscounted");
-    // Every distinct key misses at least once; racing threads may both
-    // miss the same key (benign double fill), but never more often
-    // than once per thread.
-    assert!(misses >= queries.len() as u64);
-    assert!(misses <= (queries.len() * THREADS) as u64);
+    assert_eq!(misses, queries.len() as u64, "a table was filled twice");
 
     let pair_lookups = (THREADS * ROUNDS * 2) as u64;
     let pair_hits = oracle.stats.pair_hits.load(Ordering::Relaxed);
@@ -130,13 +129,18 @@ fn concurrent_queries_are_stable_and_counters_coherent() {
         pair_lookups,
         "pair lookups miscounted"
     );
-    assert!(pair_misses >= 2 && pair_misses <= (2 * THREADS) as u64);
+    assert_eq!(pair_misses, 2, "a site pair was filled twice");
 
-    // Workspace accounting: fills happened (misses ran DPs), and with
-    // pooling on, buffer growth stays far below the fill count.
+    // Workspace accounting: exactly the fills of the uncontended
+    // reference ran, and with pooling on, buffer growth stays far
+    // below the fill count.
     let fills = oracle.stats.dp_fills.load(Ordering::Relaxed);
     let reallocs = oracle.stats.dp_reallocs.load(Ordering::Relaxed);
-    assert!(fills > 0, "misses must run DP fills");
+    assert_eq!(
+        fills,
+        reference.stats.dp_fills.load(Ordering::Relaxed),
+        "contended fills differ from the uncontended oracle's"
+    );
     assert!(
         reallocs <= (THREADS * 4) as u64,
         "pooled workspaces re-allocated {reallocs} times over {fills} fills"
@@ -150,7 +154,7 @@ fn rayon_pool_hammer_matches_uncontended_oracle() {
     // batch pipeline and the portfolio actually run on — instead of
     // hand-spawned threads. Every query against the shared oracle must
     // equal the uncontended reference at every pool width.
-    use rayon::prelude::*;
+    use fragalign_par::{par_map_ordered, with_threads};
 
     let inst = contended_instance();
     let reference = ScoreOracle::new(&inst);
@@ -174,15 +178,11 @@ fn rayon_pool_hammer_matches_uncontended_oracle() {
         .collect();
 
     for threads in [2, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool builds");
         let oracle = ScoreOracle::new(&inst);
-        pool.install(|| {
+        with_threads(threads, || {
             // 64 hammer tasks per width, each walking every query with
             // a different stagger so workers collide on different keys.
-            (0..64usize).into_par_iter().for_each(|shift| {
+            par_map_ordered((0..64usize).collect(), |shift| {
                 for idx in 0..queries.len() {
                     let slot = (idx + shift) % queries.len();
                     let (h, m) = queries[slot];
@@ -196,11 +196,11 @@ fn rayon_pool_hammer_matches_uncontended_oracle() {
                 }
             });
         });
-        // Counter coherence holds under the pool too.
+        // Counter coherence and single-flight hold under the pool too.
         let hits = oracle.stats.table_hits.load(Ordering::Relaxed);
         let misses = oracle.stats.table_misses.load(Ordering::Relaxed);
         assert_eq!(hits + misses, (64 * queries.len()) as u64);
-        assert!(misses >= queries.len() as u64);
+        assert_eq!(misses, queries.len() as u64);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the alignment substrate.
 
 use fragalign_align::dna::{reverse_complement, smith_waterman, DnaParams};
-use fragalign_align::{align_words, ms_words, p_score, p_score_wavefront};
+use fragalign_align::{align_words, ms_words, p_score};
 use fragalign_model::symbol::reverse_word;
 use fragalign_model::{ScoreTable, Sym};
 use proptest::prelude::*;
@@ -92,11 +92,6 @@ proptest! {
         let rev = p_score(&sigma, &u, &reverse_word(&v));
         prop_assert_eq!(best, same.max(rev));
         prop_assert!(best >= 0);
-    }
-
-    #[test]
-    fn wavefront_equals_sequential(sigma in sigma_strategy(), u in hw(), v in mw()) {
-        prop_assert_eq!(p_score_wavefront(&sigma, &u, &v), p_score(&sigma, &u, &v));
     }
 
     #[test]

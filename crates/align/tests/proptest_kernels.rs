@@ -1,30 +1,27 @@
-//! Differential property tests: every `P_score` kernel path — full
-//! matrix, rolling rows, banded at the lossless width, wavefront, and
-//! the workspace-reuse variants — must be bit-identical on random
-//! words and score tables, including reversed-orientation cases and
-//! dirty (previously used, differently sized) workspace buffers.
+//! Differential property tests: the production `P_score` paths — the
+//! profiled kernel called directly, the workspace entry points (with
+//! their positive-cell early exit and scalar fallback), the traceback
+//! aligner and the oracle — must be bit-identical to the free
+//! `p_score`, the allocating wrapper over the scalar reference kernel
+//! `fill_rolling`. Covered: random words and score tables, degenerate
+//! alphabets, both orientations, and dirty (previously used,
+//! differently sized) buffers.
 
-use fragalign_align::{
-    align_words, lossless_band, ms_words, p_score, p_score_banded, p_score_wavefront,
-    p_score_wavefront_with, DpMatrix, DpWorkspace, KernelMode, ScoreOracle, KERNEL_BLOCK,
-};
+use fragalign_align::kernel::fill_profiled;
+use fragalign_align::match_score::p_score_oriented;
+use fragalign_align::{align_words, ms_words, p_score, DpWorkspace, QueryProfile, ScoreOracle};
 use fragalign_model::symbol::reverse_word;
-use fragalign_model::{FragId, Fragment, Instance, Orient, ScoreTable, Site, Sym};
+use fragalign_model::{FragId, Fragment, Instance, Orient, Score, ScoreTable, Site, Sym};
 use proptest::prelude::*;
 
-const ALL_MODES: [KernelMode; 3] = [
-    KernelMode::Scalar,
-    KernelMode::Profiled,
-    KernelMode::ProfiledBlocked,
-];
-
 /// Random σ including negative entries and a non-zero default score
-/// (the workspace shortcuts must stay exact when every absent pair
-/// scores non-zero).
+/// of either sign (the early exit must stay exact when every absent
+/// pair scores non-zero, and must stand aside when absent pairs score
+/// positively).
 fn sigma_strategy() -> impl Strategy<Value = ScoreTable> {
     (
         prop::collection::vec(((0u32..6), (0u32..6), any::<bool>(), -3i64..7), 0..24),
-        -2i64..=0,
+        -2i64..=1,
     )
         .prop_map(|(entries, default_score)| {
             let mut t = ScoreTable::new();
@@ -62,51 +59,84 @@ fn word_nonempty(base: u32) -> impl Strategy<Value = Vec<Sym>> {
     )
 }
 
+/// The reference final DP row of `u` (rows) × `v` (columns):
+/// `P_score` of `u` against every prefix of `v`. `swap` puts the row
+/// word on the M side, so σ is applied `(column, row)`.
+fn reference_row(sigma: &ScoreTable, u: &[Sym], v: &[Sym], swap: bool) -> Vec<Score> {
+    (0..=v.len())
+        .map(|j| {
+            if swap {
+                p_score(sigma, &v[..j], u)
+            } else {
+                p_score(sigma, u, &v[..j])
+            }
+        })
+        .collect()
+}
+
+/// Run the profiled kernel directly — no cell-count floor, so short
+/// words reach it too — over caller buffers that may be dirty.
+/// Returns the score and the final DP row, or `None` when the profile
+/// is refused.
+fn profiled_row(
+    sigma: &ScoreTable,
+    u: &[Sym],
+    v: &[Sym],
+    swap: bool,
+    prev: &mut Vec<Score>,
+    cur: &mut Vec<Score>,
+) -> Option<(Score, Vec<Score>)> {
+    let mut profile = QueryProfile::default();
+    let generation = profile.build(sigma, u, v, swap)?;
+    let mut row_of = Vec::new();
+    profile.map_rows(u, &mut row_of);
+    let s = fill_profiled(&profile, generation, &row_of, 0, v.len(), prev, cur);
+    Some((s, prev[..=v.len()].to_vec()))
+}
+
+/// Dirty rolling rows: large, and full of values no fill produces.
+fn dirty_rows() -> (Vec<Score>, Vec<Score>) {
+    (vec![987_654; 64], vec![-123_456; 64])
+}
+
+/// Assert the profiled kernel matches the reference row through dirty
+/// buffers in both role assignments: H word `h` on the rows, and M
+/// word `m` on the rows (σ applied `(column, row)`).
+fn check_profiled(sigma: &ScoreTable, h: &[Sym], m: &[Sym]) -> Result<(), TestCaseError> {
+    for (rows, cols, swap) in [(h, m, false), (m, h, true)] {
+        let (mut prev, mut cur) = dirty_rows();
+        let want = reference_row(sigma, rows, cols, swap);
+        let (score, row) =
+            profiled_row(sigma, rows, cols, swap, &mut prev, &mut cur).expect("small profile fits");
+        prop_assert_eq!(score, want[cols.len()], "swap {}", swap);
+        prop_assert_eq!(row, want, "final row, swap {}", swap);
+    }
+    Ok(())
+}
+
 proptest! {
-    /// Every kernel path agrees with the rolling-row reference.
+    /// The profiled kernel and every workspace `P_score` entry point
+    /// agree with the reference.
     #[test]
     fn all_kernel_paths_agree(sigma in sigma_strategy(), u in word(0), v in word(100)) {
         let reference = p_score(&sigma, &u, &v);
-        // Full matrix.
-        prop_assert_eq!(DpMatrix::fill(&sigma, &u, &v).score(), reference);
-        // Traceback-producing path.
-        prop_assert_eq!(align_words(&sigma, &u, &v).0, reference);
-        // Banded at the provably lossless width.
-        prop_assert_eq!(
-            p_score_banded(&sigma, &u, &v, lossless_band(u.len(), v.len())),
-            reference
-        );
-        // Wavefront (sequential fallback region and the real sweep are
-        // both covered by the dedicated size test below).
-        prop_assert_eq!(p_score_wavefront(&sigma, &u, &v), reference);
-        // Workspace-reuse variants, across a dirty buffer: fill a
-        // differently-shaped problem first so stale cells would show.
+        check_profiled(&sigma, &u, &v)?;
+        // Workspace routing across a dirty workspace: fill a
+        // differently-shaped, profiled problem first so stale cells
+        // would show.
         let mut ws = DpWorkspace::new();
         let big_u: Vec<Sym> = (0..17).map(Sym::fwd).collect();
         let big_v: Vec<Sym> = (0..19).map(|i| Sym::fwd(100 + i)).collect();
         let _ = ws.p_score(&sigma, &big_u, &big_v);
         prop_assert_eq!(ws.p_score(&sigma, &u, &v), reference);
-        prop_assert_eq!(ws.p_score_auto(&sigma, &u, &v), reference);
-        prop_assert_eq!(p_score_wavefront_with(&sigma, &u, &v, &mut ws), reference);
-        prop_assert_eq!(
-            ws.p_score_banded(&sigma, &u, &v, lossless_band(u.len(), v.len())),
-            reference
-        );
-        // Forced kernel modes through the same dirty workspace.
-        for mode in ALL_MODES {
-            prop_assert_eq!(ws.p_score_kernel(&sigma, &u, &v, mode), reference, "{mode:?}");
-        }
-        // Workspace traceback path: same score, same columns as the
-        // allocating free function.
-        let (free_score, free_cols) = align_words(&sigma, &u, &v);
-        let (ws_score, ws_cols) = ws.align_words(&sigma, &u, &v);
-        prop_assert_eq!(ws_score, free_score);
-        prop_assert_eq!(ws_cols, free_cols);
+        prop_assert_eq!(ws.align_words(&sigma, &u, &v).0, reference);
+        prop_assert_eq!(align_words(&sigma, &u, &v).0, reference);
     }
 
-    /// The profiled kernels on degenerate alphabets: every row symbol
-    /// identical (one profile row serving every DP row), with mixed
-    /// orientation flags and both operand orders.
+    /// Degenerate alphabets: every row symbol identical (one profile
+    /// row serving every DP row), with mixed orientation flags and
+    /// both operand orders. Long enough that the workspace profiles
+    /// too.
     #[test]
     fn profiled_kernels_on_degenerate_alphabets(
         sigma in sigma_strategy(),
@@ -116,60 +146,55 @@ proptest! {
     ) {
         let u: Vec<Sym> = revs_u.iter().map(|&r| Sym { id: uid, rev: r }).collect();
         let v: Vec<Sym> = revs_v.iter().map(|&r| Sym { id: 100 + vid, rev: r }).collect();
-        let reference = p_score(&sigma, &u, &v);
+        check_profiled(&sigma, &u, &v)?;
         let mut ws = DpWorkspace::new();
-        for mode in ALL_MODES {
-            prop_assert_eq!(ws.p_score_kernel(&sigma, &u, &v, mode), reference, "{mode:?}");
-        }
+        prop_assert_eq!(ws.p_score(&sigma, &u, &v), p_score(&sigma, &u, &v));
     }
 
-    /// Orientation search: the workspace `MS` (scan + early exit +
-    /// banded routing) matches the allocating free function, and both
-    /// respect the reversal identity `P(u, v) = P(u^R, v^R)`.
+    /// Orientation search: the workspace `MS` and pinned-orientation
+    /// scores (positive-cell early exit included) match the reference
+    /// in both orientations, so the early exit can never change a
+    /// score; both respect the reversal identity `P(u, v) = P(u^R, v^R)`.
     #[test]
     fn ms_paths_agree_including_reversed(
         sigma in sigma_strategy(), u in word(0), v in word(100)
     ) {
-        let mut ws = DpWorkspace::new();
-        let free = ms_words(&sigma, &u, &v);
-        prop_assert_eq!(ws.ms_words(&sigma, &u, &v), free);
-        // Pinned orientations.
         let vr = reverse_word(&v);
-        prop_assert_eq!(
-            ws.p_score_oriented(&sigma, &u, &v, Orient::Same),
-            p_score(&sigma, &u, &v)
-        );
-        prop_assert_eq!(
-            ws.p_score_oriented(&sigma, &u, &v, Orient::Reversed),
-            p_score(&sigma, &u, &vr)
-        );
+        let same = p_score(&sigma, &u, &v);
+        let rev = p_score(&sigma, &u, &vr);
+        let reference = if rev > same { (rev, Orient::Reversed) } else { (same, Orient::Same) };
+        let mut ws = DpWorkspace::new();
+        prop_assert_eq!(ms_words(&sigma, &u, &v), reference);
+        prop_assert_eq!(ws.ms_words(&sigma, &u, &v), reference);
+        for (orient, want) in [(Orient::Same, same), (Orient::Reversed, rev)] {
+            prop_assert_eq!(ws.p_score_oriented(&sigma, &u, &v, orient), want);
+            prop_assert_eq!(p_score_oriented(&sigma, &u, &v, orient), want);
+        }
         // Reversal invariance through the workspace path.
         let ur = reverse_word(&u);
-        prop_assert_eq!(
-            ws.p_score_auto(&sigma, &ur, &vr),
-            p_score(&sigma, &u, &v)
-        );
+        prop_assert_eq!(ws.p_score_oriented(&sigma, &ur, &vr, Orient::Same), same);
+        prop_assert_eq!(ws.ms_words(&sigma, &ur, &vr).0, reference.0);
     }
 
-    /// The band is monotone: a wider window never scores less, every
-    /// width is a lower bound of the full DP, and the lossless width
-    /// reaches it.
+    /// The workspace traceback: its columns cover every symbol of both
+    /// words exactly once, in order, and their σ-sum is the reference
+    /// score.
     #[test]
-    fn banded_monotone_lower_bound(
+    fn workspace_traceback_covers_words_and_realises_score(
         sigma in sigma_strategy(), u in word(0), v in word(100)
     ) {
-        let full = p_score(&sigma, &u, &v);
-        let lossless = lossless_band(u.len(), v.len());
-        let mut prev_score = None;
-        for band in 0..=lossless {
-            let banded = p_score_banded(&sigma, &u, &v, band);
-            prop_assert!(banded <= full, "band {band}: {banded} > {full}");
-            if let Some(p) = prev_score {
-                prop_assert!(banded >= p, "band {band} lost score over band {}", band - 1);
-            }
-            prev_score = Some(banded);
-        }
-        prop_assert_eq!(p_score_banded(&sigma, &u, &v, lossless), full);
+        let mut ws = DpWorkspace::new();
+        let (score, cols) = ws.align_words(&sigma, &u, &v);
+        prop_assert_eq!(score, p_score(&sigma, &u, &v));
+        let us: Vec<usize> = cols.iter().filter_map(|c| c.0).collect();
+        let vs: Vec<usize> = cols.iter().filter_map(|c| c.1).collect();
+        prop_assert_eq!(us, (0..u.len()).collect::<Vec<_>>());
+        prop_assert_eq!(vs, (0..v.len()).collect::<Vec<_>>());
+        let col_score: Score = cols
+            .iter()
+            .filter_map(|&(a, b)| Some(sigma.score(u[a?], v[b?])))
+            .sum();
+        prop_assert_eq!(col_score, score);
     }
 
     /// Oracle entry points: the pooled-workspace oracle, the
@@ -219,40 +244,6 @@ proptest! {
     }
 }
 
-/// The wavefront cutoff hides the parallel sweep from small proptest
-/// words; cover the real sweep (and the workspace variant's resized
-/// diagonals) at sizes beyond the cutoff.
-#[test]
-fn wavefront_paths_agree_beyond_cutoff() {
-    let mut sigma = ScoreTable::new();
-    for a in 0..8u32 {
-        for b in 0..8u32 {
-            if (a * 5 + b) % 3 != 0 {
-                sigma.set(Sym::fwd(a), Sym::fwd(100 + b), ((a + 2 * b) % 5) as i64 - 1);
-            }
-        }
-    }
-    let mk = |seed: u64, len: usize, base: u32| -> Vec<Sym> {
-        let mut state = seed | 1;
-        (0..len)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                Sym::fwd(base + (state % 8) as u32)
-            })
-            .collect()
-    };
-    let mut ws = DpWorkspace::new();
-    for (lu, lv) in [(600, 600), (520, 700)] {
-        let u = mk(lu as u64, lu, 0);
-        let v = mk(lv as u64 + 7, lv, 100);
-        let reference = p_score(&sigma, &u, &v);
-        assert_eq!(p_score_wavefront(&sigma, &u, &v), reference);
-        assert_eq!(p_score_wavefront_with(&sigma, &u, &v, &mut ws), reference);
-    }
-}
-
 /// Deterministic word over a small alphabet with mixed orientations.
 fn mixed_word(seed: u64, len: usize, base: u32) -> Vec<Sym> {
     let mut state = seed | 1;
@@ -285,83 +276,51 @@ fn dense_sigma() -> ScoreTable {
     sigma
 }
 
-/// The blocked kernel at column widths straddling the block boundary:
-/// `KERNEL_BLOCK ± 1`, exactly `KERNEL_BLOCK`, and the two-block
-/// boundary `2·KERNEL_BLOCK ± 1` — the off-by-one shapes a fixed-width
-/// blocking bug would corrupt. Small proptest words never reach these
-/// widths, so they are pinned here.
-#[test]
-fn blocked_kernel_straddles_block_boundaries() {
-    let sigma = dense_sigma();
-    let mut ws = DpWorkspace::new();
-    for lv in [
-        KERNEL_BLOCK - 1,
-        KERNEL_BLOCK,
-        KERNEL_BLOCK + 1,
-        2 * KERNEL_BLOCK - 1,
-        2 * KERNEL_BLOCK + 1,
-    ] {
-        // Column word longer than the row word so the internal
-        // shorter-word swap keeps `lv` on the column axis.
-        let u = mixed_word(3, 60, 0);
-        let v = mixed_word(lv as u64, lv, 100);
-        let reference = p_score(&sigma, &u, &v);
-        for mode in ALL_MODES {
-            assert_eq!(
-                ws.p_score_kernel(&sigma, &u, &v, mode),
-                reference,
-                "cols {lv} mode {mode:?}"
-            );
-        }
-    }
-}
-
 /// Stale-tail regression: run a wide fill, then strictly narrower
-/// fills through every kernel entry point on the *same* workspace.
-/// Any kernel that trusts a buffer cell it did not rewrite for the
-/// current width reads the wide fill's leftovers and diverges from a
-/// fresh-workspace reference. (Audit note: `fill_rolling` zeroes
-/// `prev[..cols]` and writes `cur[..cols]` before reading;
-/// `fill_banded` writes each row window before the next row reads it;
-/// the profiled kernels zero `prev`, `carry`, and the per-block base
-/// row — this test pins all of that against regression.)
+/// fills through every surviving entry point on the *same* buffers.
+/// Any path that trusts a buffer cell it did not rewrite for the
+/// current width reads the wide fill's leftovers and diverges from the
+/// reference. (Audit note: `fill_rolling` zeroes `prev[..cols]` and
+/// writes `cur[..cols]` before reading; the profiled kernel zeroes
+/// `prev[..cols]` and `cur[0]` per row; `align_words` zeroes its grid
+/// — this test pins all of that against regression.)
 #[test]
 fn shrinking_buffers_never_leak_stale_tails() {
     let sigma = dense_sigma();
     let mut ws = DpWorkspace::new();
-    // Wide fill: bigger than everything that follows, filling
-    // prev/cur/carry/grid/profile with large-problem leftovers.
+    // Wide fills: bigger than everything that follows, filling
+    // prev/cur/rev/grid/profile with large-problem leftovers.
     let wide_u = mixed_word(11, 90, 0);
-    let wide_v = mixed_word(12, 2 * KERNEL_BLOCK + 50, 100);
-    let _ = ws.p_score_kernel(&sigma, &wide_u, &wide_v, KernelMode::ProfiledBlocked);
+    let wide_v = mixed_word(12, 1100, 100);
+    let _ = ws.p_score(&sigma, &wide_u, &wide_v);
+    let _ = ws.ms_words(&sigma, &wide_u, &wide_v);
     let _ = ws.align_words(&sigma, &wide_u, &mixed_word(13, 70, 100));
+    let (mut prev, mut cur) = (Vec::new(), Vec::new());
+    let _ = profiled_row(&sigma, &wide_u, &wide_v, false, &mut prev, &mut cur);
 
-    for (seed, lu, lv) in [
-        (1u64, 9, 60),
-        (2, 17, 5),
-        (3, 1, 1),
-        (4, 40, KERNEL_BLOCK + 3),
-    ] {
+    for (seed, lu, lv) in [(1u64, 9, 60), (2, 17, 5), (3, 1, 1), (4, 40, 515)] {
         let u = mixed_word(seed * 7 + 1, lu, 0);
         let v = mixed_word(seed * 7 + 2, lv, 100);
         let reference = p_score(&sigma, &u, &v);
-        for mode in ALL_MODES {
+        let (score, row) = profiled_row(&sigma, &u, &v, false, &mut prev, &mut cur).unwrap();
+        assert_eq!(score, reference, "profiled {lu}x{lv}");
+        assert_eq!(
+            row,
+            reference_row(&sigma, &u, &v, false),
+            "profiled row {lu}x{lv}"
+        );
+        assert_eq!(ws.p_score(&sigma, &u, &v), reference, "p_score {lu}x{lv}");
+        assert_eq!(ws.ms_words(&sigma, &u, &v), ms_words(&sigma, &u, &v));
+        for orient in [Orient::Same, Orient::Reversed] {
             assert_eq!(
-                ws.p_score_kernel(&sigma, &u, &v, mode),
-                reference,
-                "{lu}x{lv} {mode:?}"
+                ws.p_score_oriented(&sigma, &u, &v, orient),
+                p_score_oriented(&sigma, &u, &v, orient),
+                "{orient:?} {lu}x{lv}"
             );
         }
-        assert_eq!(ws.p_score(&sigma, &u, &v), reference);
-        assert_eq!(ws.p_score_auto(&sigma, &u, &v), reference);
-        assert_eq!(
-            ws.p_score_banded(&sigma, &u, &v, lossless_band(u.len(), v.len())),
-            reference,
-            "banded {lu}x{lv}"
-        );
-        assert_eq!(ws.ms_words(&sigma, &u, &v), ms_words(&sigma, &u, &v));
         let (score, cols) = ws.align_words(&sigma, &u, &v);
         let (free_score, free_cols) = align_words(&sigma, &u, &v);
+        assert_eq!(score, reference, "align_words score {lu}x{lv}");
         assert_eq!(score, free_score, "align_words score {lu}x{lv}");
         assert_eq!(cols, free_cols, "align_words columns {lu}x{lv}");
     }

@@ -1,12 +1,14 @@
-//! DP-kernel throughput sweep: scalar vs profiled vs profiled+blocked.
+//! DP-kernel throughput sweep: the scalar reference vs the production
+//! profiled kernel.
 //!
-//! Times `DpWorkspace::p_score_kernel` under each forced [`KernelMode`]
-//! over a grid of word lengths × alphabet sizes × σ densities, reports
-//! cells/s, and cross-checks that every mode returns bit-identical
-//! scores on every grid point. Full release runs additionally assert
-//! the headline claims pinned by ISSUE acceptance:
+//! Times the free `p_score` (the scalar reference kernel) against
+//! `DpWorkspace::p_score` (the production path, which profiles every
+//! grid point here: all of them exceed `PROFILE_MIN_CELLS`) over a
+//! grid of word lengths × alphabet sizes × σ densities, reports
+//! cells/s, and cross-checks that both return bit-identical scores on
+//! every grid point. Full release runs additionally assert:
 //!
-//! - profiled+blocked ≥ 2x scalar on the long-word grid, and
+//! - profiled ≥ 2x scalar on the long-word grid, and
 //! - the assignment-relaxation `score_upper_bound` is *strictly*
 //!   tighter than the old min-mass × σ_max bound on the simulator's
 //!   default grid.
@@ -14,7 +16,7 @@
 //! Writes `BENCH_kernel.json`. Pass `--smoke` for a quick CI-sized run
 //! that skips the timing-sensitive assertions.
 
-use fragalign::align::{DpWorkspace, KernelMode};
+use fragalign::align::{p_score, DpWorkspace};
 use fragalign::model::{Instance, ScoreTable, Sym};
 use fragalign_bench::{sim_instance, word, Stream};
 use serde::Serialize;
@@ -24,7 +26,7 @@ use std::time::Instant;
 struct Config {
     smoke: bool,
     release: bool,
-    /// Timing repetitions per (point, mode); best-of is reported.
+    /// Timing repetitions per (point, kernel); best-of is reported.
     reps: usize,
 }
 
@@ -38,9 +40,7 @@ struct Point {
     score: i64,
     scalar_cells_per_s: f64,
     profiled_cells_per_s: f64,
-    blocked_cells_per_s: f64,
     speedup_profiled: f64,
-    speedup_blocked: f64,
 }
 
 #[derive(Serialize)]
@@ -56,7 +56,7 @@ struct BoundPoint {
 struct Report {
     config: Config,
     points: Vec<Point>,
-    /// Mean blocked-vs-scalar speedup over the long-word grid points.
+    /// Mean profiled-vs-scalar speedup over the long-word grid points.
     long_word_speedup: f64,
     bounds: Vec<BoundPoint>,
     deterministic: bool,
@@ -120,27 +120,18 @@ fn main() {
                 let v = word(13 + density, len, syms, 1000);
                 let cells = (len * len) as u64;
 
-                // Warm-up + cross-mode differential check first, so a
-                // kernel bug fails loudly before any timing output.
-                let scalar = ws.p_score_kernel(&sigma, &u, &v, KernelMode::Scalar);
-                for mode in [KernelMode::Profiled, KernelMode::ProfiledBlocked] {
-                    let got = ws.p_score_kernel(&sigma, &u, &v, mode);
-                    assert_eq!(
-                        got, scalar,
-                        "{mode:?} disagrees with scalar at len={len} syms={syms} \
-                         density={density}%"
-                    );
-                }
+                // Warm-up + differential check first, so a kernel bug
+                // fails loudly before any timing output.
+                let scalar = p_score(&sigma, &u, &v);
+                let profiled = ws.p_score(&sigma, &u, &v);
+                assert_eq!(
+                    profiled, scalar,
+                    "profiled kernel disagrees with scalar at len={len} syms={syms} \
+                     density={density}%"
+                );
 
-                let t_scalar = best_secs(reps, || {
-                    ws.p_score_kernel(&sigma, &u, &v, KernelMode::Scalar)
-                });
-                let t_profiled = best_secs(reps, || {
-                    ws.p_score_kernel(&sigma, &u, &v, KernelMode::Profiled)
-                });
-                let t_blocked = best_secs(reps, || {
-                    ws.p_score_kernel(&sigma, &u, &v, KernelMode::ProfiledBlocked)
-                });
+                let t_scalar = best_secs(reps, || p_score(&sigma, &u, &v));
+                let t_profiled = best_secs(reps, || ws.p_score(&sigma, &u, &v));
 
                 let point = Point {
                     rows: len,
@@ -151,19 +142,14 @@ fn main() {
                     score: scalar,
                     scalar_cells_per_s: cells as f64 / t_scalar,
                     profiled_cells_per_s: cells as f64 / t_profiled,
-                    blocked_cells_per_s: cells as f64 / t_blocked,
                     speedup_profiled: t_scalar / t_profiled,
-                    speedup_blocked: t_scalar / t_blocked,
                 };
                 println!(
                     "  len={len:>5} syms={syms:>3} density={density:>2}%  \
-                     scalar {:>7.1} Mc/s  profiled {:>7.1} Mc/s ({:.2}x)  \
-                     blocked {:>7.1} Mc/s ({:.2}x)",
+                     scalar {:>7.1} Mc/s  profiled {:>7.1} Mc/s ({:.2}x)",
                     point.scalar_cells_per_s / 1e6,
                     point.profiled_cells_per_s / 1e6,
                     point.speedup_profiled,
-                    point.blocked_cells_per_s / 1e6,
-                    point.speedup_blocked,
                 );
                 points.push(point);
             }
@@ -172,12 +158,12 @@ fn main() {
 
     let long: Vec<&Point> = points.iter().filter(|p| p.rows >= LONG_WORD).collect();
     let long_word_speedup =
-        long.iter().map(|p| p.speedup_blocked).sum::<f64>() / long.len().max(1) as f64;
-    println!("\nlong-word (len >= {LONG_WORD}) mean blocked speedup: {long_word_speedup:.2}x");
+        long.iter().map(|p| p.speedup_profiled).sum::<f64>() / long.len().max(1) as f64;
+    println!("\nlong-word (len >= {LONG_WORD}) mean profiled speedup: {long_word_speedup:.2}x");
     if release && !smoke {
         assert!(
             long_word_speedup >= 2.0,
-            "profiled+blocked kernel must average >= 2x scalar on the long-word grid \
+            "profiled kernel must average >= 2x scalar on the long-word grid \
              (got {long_word_speedup:.2}x)"
         );
     } else {

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Since the rayon shim rebuild the pool runs real `std::thread`
-//! workers, so these numbers are hardware-bound, not shim-bound. Three
+//! workers, so these numbers are hardware-bound, not shim-bound. Two
 //! workloads sweep pools of 1/2/4/8 threads:
 //!
 //! 1. **batch** — `solve_batch` with `csr` over a seeded sim batch
@@ -15,9 +15,7 @@
 //!    at top level so its racers genuinely fan out across pool
 //!    workers (inside `solve_batch` they would run inline on one
 //!    batch worker — instance-level parallelism would be measured
-//!    instead);
-//! 3. **wavefront** — the anti-diagonal `P_score` kernel via
-//!    [`speedup_sweep`].
+//!    instead).
 //!
 //! Every sweep asserts bit-identical results across thread counts, and
 //! on hardware with ≥ 4 cores a release run asserts the batch workload
@@ -25,12 +23,10 @@
 //! `BENCH_speedup.json` so the perf trajectory across PRs has data
 //! points.
 
-use fragalign::align::{p_score, p_score_wavefront};
 use fragalign::model::Instance;
-use fragalign::par::{speedup_sweep, with_threads};
+use fragalign::par::speedup_sweep;
 use fragalign::prelude::*;
 use fragalign::sim::gen_batch;
-use fragalign_bench::{table, word};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -164,18 +160,7 @@ fn main() {
             .collect()
     });
 
-    // Wavefront kernel sweep (the classic IPPS decomposition).
-    let sigma = table(5, 32);
-    let (ulen, vlen) = if smoke { (900, 900) } else { (2000, 2000) };
-    let u = word(1, ulen, 32, 0);
-    let v = word(2, vlen, 32, 1000);
-    let seq = p_score(&sigma, &u, &v);
-    let kernel = move || p_score_wavefront(&sigma, &u, &v);
-    let wavefront_workload = sweep("wavefront P_score", &kernel);
-    let (par, _) = with_threads(cores.max(2), &kernel);
-    assert_eq!(par, seq, "parallel DP is exact");
-
-    for w in [&batch_workload, &portfolio_workload, &wavefront_workload] {
+    for w in [&batch_workload, &portfolio_workload] {
         print_workload(w);
     }
 
@@ -209,7 +194,7 @@ fn main() {
             available_cores: cores,
             release,
         },
-        workloads: vec![batch_workload, portfolio_workload, wavefront_workload],
+        workloads: vec![batch_workload, portfolio_workload],
         batch_speedup_4t,
         deterministic: true,
     };

@@ -21,7 +21,7 @@
 //!    three kernels: the pre-workspace allocating free function
 //!    (`ms_words`: fresh rows + reversed-word vec per call, no
 //!    shortcuts), the workspace kernel with a *fresh* workspace per
-//!    call (scan/early-exit/banded routing, but every fill
+//!    call (positive-cell early exit and profiled kernel, but every fill
 //!    re-allocates), and the workspace kernel with one *warm*
 //!    workspace. The first ratio is the end-to-end kernel win; the
 //!    second isolates pure buffer reuse;

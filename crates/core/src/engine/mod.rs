@@ -189,8 +189,11 @@ pub struct SolveReport {
     pub matches: usize,
     /// Committed improvement rounds (0 for one-shot solvers).
     pub rounds: usize,
-    /// Attempts evaluated (improvement family; summed over racers
-    /// for the portfolio; 0 for one-shot solvers).
+    /// Attempts evaluated (improvement family; 0 for one-shot
+    /// solvers). For the portfolio, summed over the racers that decide
+    /// the race — every racer up to the first, in registry order, that
+    /// completed at the score bound — so it is the same at every pool
+    /// width; the same holds for the oracle counters below.
     pub attempts: usize,
     /// DP fills served through the run's oracle(s), nested oracles
     /// included.

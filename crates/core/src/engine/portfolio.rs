@@ -349,14 +349,26 @@ impl Solver for Portfolio {
             .map(|s| s.expect("every racer ran"))
             .collect();
 
+        // The racers that decide the race: every racer up to the first
+        // (in registry order) that completed at the bound. None of them
+        // can be outraced, so they always run to completion and the
+        // counters folded from them are the same at every pool width.
+        // Later racers were retired at a timing-dependent point; their
+        // partial work shows in `racers[]` only.
+        let deciding = runs
+            .iter()
+            .position(|(out, ..)| !out.cancelled && out.matches.total_score() >= board.upper_bound)
+            .map_or(runs.len(), |i| i + 1);
         let mut best: Option<(usize, SolveOutcome)> = None;
         let mut attempts = 0;
         let mut reports = Vec::with_capacity(runs.len());
         for (idx, (out, cause, stats, wall)) in runs.into_iter().enumerate() {
-            // Fold each racer's oracle work into the portfolio's
-            // context so the report shows the whole race.
-            ctx.oracle.stats.absorb(&stats);
-            attempts += out.attempts;
+            // Fold the deciding racers' oracle work into the
+            // portfolio's context so the report shows the race.
+            if idx < deciding {
+                ctx.oracle.stats.absorb(&stats);
+                attempts += out.attempts;
+            }
             reports.push(RacerReport {
                 name: racers[idx].spec.name.to_owned(),
                 score: out.matches.total_score(),

@@ -13,7 +13,6 @@
 //! matches into staircases and plugs while preserving the score
 //! (Remark 1).
 
-use fragalign_align::dp::align_words;
 use fragalign_align::{DpWorkspace, OracleStatsSnapshot, ScoreOracle};
 use fragalign_model::conjecture::PairAssembler;
 use fragalign_model::symbol::reverse_word;
@@ -34,9 +33,9 @@ fn concat_coord(lens: &[usize], pos: usize) -> (usize, usize) {
 /// Solve `(H, concat(M))` with 1-CSR/TPA and translate the solution
 /// back into the original instance. `swap` = solve `(M, concat(H))`
 /// instead. The caller-owned workspace seeds the inner concat
-/// oracle's pool (scratch only: never changes results); the inner
-/// oracle's counters are folded into `stats` so end-to-end telemetry
-/// sees the real fill work.
+/// oracle's pool and then serves the layout tracebacks (scratch only:
+/// never changes results); the inner oracle's counters are folded
+/// into `stats` so end-to-end telemetry sees the real fill work.
 fn one_sided(
     inst: &Instance,
     swap: bool,
@@ -97,7 +96,7 @@ fn one_sided(
                 base.fragment(FragId::m(mf)).regions[mi]
             })
             .collect();
-        let (_, cols) = align_words(&base.sigma, &h_word, &m_word);
+        let (_, cols) = ws.align_words(&base.sigma, &h_word, &m_word);
         let h_len = base.frag_len(h_frag);
         for (uo, vo) in cols {
             let h_cell = uo.map(|o| {

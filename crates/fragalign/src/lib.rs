@@ -15,8 +15,9 @@
 //!
 //! * [`model`] — fragments, the duplicated alphabet, matches,
 //!   consistency and layouts;
-//! * [`align`] — the `P_score` alignment DP, match scores, interval
-//!   oracles, wavefront parallel DP, a DNA local aligner;
+//! * [`align`] — the `P_score` alignment DP (one profiled kernel over
+//!   the scalar reference), match scores, single-flight interval
+//!   oracles, the anchor-chaining tier, a DNA local aligner;
 //! * [`isp`] — the Berman–DasGupta two-phase interval-selection
 //!   algorithm (ratio 2);
 //! * [`matching`] — Hungarian maximum-weight bipartite matching;

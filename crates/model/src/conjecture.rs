@@ -185,10 +185,14 @@ impl ConjecturePair {
     /// Definition 2: derive the match set of this conjecture pair.
     ///
     /// The stacked word is split at the ends of every padded sequence
-    /// (both rows); each resulting piece with symbols on both rows
-    /// becomes a match whose score is the piece's realised column
-    /// score. `Score(derived set) == self.score(inst)` always holds
-    /// (Remark 1).
+    /// (both rows); each resulting piece that scores positively becomes
+    /// a match whose score is the piece's realised column score. Pieces
+    /// scoring `<= 0` are vacuous and dropped, as Definition 2 allows:
+    /// a zero piece contributes nothing, and a negative one — which
+    /// only a layout that is not an optimal alignment can realise —
+    /// would only lower the total. So `Score(derived set) ==
+    /// self.score(inst)` whenever no piece scores negatively, which
+    /// always holds for layouts built by an optimal aligner (Remark 1).
     pub fn derive_matches(&self, inst: &Instance) -> MatchSet {
         // Collect split points: span boundaries from both rows.
         let mut cuts: Vec<usize> = vec![0, self.columns.len()];
@@ -227,18 +231,15 @@ impl ConjecturePair {
                     );
                 }
             }
-            let (Some(&(hf, _)), Some(&(mf, _))) = (h_cells.first(), m_cells.first()) else {
-                continue; // piece with symbols on at most one row
-            };
-            // A piece where no column pairs two symbols is vacuous: it
-            // only stacks one row's symbols against the other's padding
-            // and contributes nothing; Definition 2 lets us drop it.
-            let paired = self.columns[lo..hi]
-                .iter()
-                .any(|c| c.h.is_some() && c.m.is_some());
-            if !paired {
+            // A piece with no positive score is vacuous — including
+            // one where no column pairs two symbols, or symbols sit on
+            // one row only.
+            if piece_score <= 0 {
                 continue;
             }
+            let (Some(&(hf, _)), Some(&(mf, _))) = (h_cells.first(), m_cells.first()) else {
+                unreachable!("a scoring piece pairs symbols on both rows");
+            };
             debug_assert!(
                 h_cells.iter().all(|&(f, _)| f == hf),
                 "piece crosses H fragments"

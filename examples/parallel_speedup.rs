@@ -1,4 +1,4 @@
-//! Parallel scaling of the alignment and improvement kernels.
+//! Parallel scaling of the improvement-attempt evaluation.
 //!
 //! ```sh
 //! cargo run --release --example parallel_speedup
@@ -6,40 +6,14 @@
 //!
 //! The IPPS venue context: the paper's era evaluated on small
 //! clusters; our substitute is shared-memory data parallelism. This
-//! example measures the wavefront-parallel `P_score` DP and the
-//! parallel improvement-attempt evaluation against their sequential
-//! versions, asserting identical results (integer scores make the
+//! example runs the `CSR_Improve` attempt evaluation — where the
+//! improvement loop spends its time — under pools of increasing
+//! width, asserting identical results (integer scores make the
 //! parallel reduction exact).
 
-use fragalign::align::{p_score, p_score_wavefront};
-use fragalign::model::{ScoreTable, Sym};
-use fragalign::par::{speedup_sweep, with_threads};
+use fragalign::par::with_threads;
 use fragalign::prelude::*;
 use fragalign::sim::generate;
-
-fn big_words(len: usize) -> (ScoreTable, Vec<Sym>, Vec<Sym>) {
-    let mut t = ScoreTable::new();
-    let mut state = 0x243F6A8885A308D3u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for a in 0..32u32 {
-        for b in 0..32u32 {
-            let r = next() % 9;
-            if r > 4 {
-                t.set(Sym::fwd(a), Sym::fwd(1000 + b), (r - 4) as i64);
-            }
-        }
-    }
-    let u: Vec<Sym> = (0..len).map(|_| Sym::fwd((next() % 32) as u32)).collect();
-    let v: Vec<Sym> = (0..len)
-        .map(|_| Sym::fwd(1000 + (next() % 32) as u32))
-        .collect();
-    (t, u, v)
-}
 
 fn main() {
     let cores = std::thread::available_parallelism()
@@ -47,28 +21,6 @@ fn main() {
         .unwrap_or(4);
     println!("available cores: {cores}");
 
-    // ---- wavefront DP --------------------------------------------------
-    let (t, u, v) = big_words(1500);
-    let sequential = p_score(&t, &u, &v);
-    println!(
-        "\n== wavefront P_score on {}×{} regions ==",
-        u.len(),
-        v.len()
-    );
-    println!("threads  time(ms)  speedup");
-    let kernel = || p_score_wavefront(&t, &u, &v);
-    for point in speedup_sweep(cores, &kernel) {
-        println!(
-            "{:>7}  {:>8.1}  {:>7.2}",
-            point.threads,
-            point.elapsed.as_secs_f64() * 1e3,
-            point.speedup
-        );
-    }
-    let (par_result, _) = with_threads(cores, kernel);
-    assert_eq!(par_result, sequential, "parallel DP must be exact");
-
-    // ---- improvement-attempt evaluation ---------------------------------
     println!("\n== CSR_Improve attempt evaluation ==");
     let sim = generate(&SimConfig {
         regions: 20,

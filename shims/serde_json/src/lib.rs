@@ -313,13 +313,18 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Copy one UTF-8 character verbatim.
+                    // Copy the whole run up to the next `"` or `\`
+                    // verbatim. Both are ASCII, so the cut never splits
+                    // a UTF-8 sequence, and each byte is scanned once.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s = std::str::from_utf8(&rest[..run])
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -415,6 +420,54 @@ mod tests {
     fn unicode_escapes() {
         let s: ValueWrap = from_str(r#""aé😀b""#).unwrap();
         assert_eq!(s.0, Value::Str("aé😀b".to_string()));
+    }
+
+    fn decode_str(json: &str) -> Result<Value, Error> {
+        from_str::<ValueWrap>(json).map(|v| v.0)
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes() {
+        // Multi-byte characters directly before and after escapes, at
+        // both ends of the string.
+        assert_eq!(
+            decode_str(r#""é\n😀\"ü\\ß""#).unwrap(),
+            Value::Str("é\n😀\"ü\\ß".to_string())
+        );
+        assert_eq!(
+            decode_str(r#""\t日本語\u00e9""#).unwrap(),
+            Value::Str("\t日本語é".to_string())
+        );
+        // An escape-free string with multi-byte characters only.
+        assert_eq!(
+            decode_str(r#""😀😀""#).unwrap(),
+            Value::Str("😀😀".to_string())
+        );
+        assert_eq!(decode_str(r#""""#).unwrap(), Value::Str(String::new()));
+    }
+
+    #[test]
+    fn surrogate_pair_escapes() {
+        // U+1F600 as a `\u` surrogate pair, amid literal characters.
+        assert_eq!(
+            decode_str(r#""a\ud83d\ude00é""#).unwrap(),
+            Value::Str("a😀é".to_string())
+        );
+        // A high surrogate must be followed by a low one.
+        assert!(decode_str(r#""\ud83dx""#).is_err());
+        assert!(decode_str(r#""\ud83d\u0041""#).is_err());
+    }
+
+    #[test]
+    fn unterminated_string_after_a_long_run() {
+        let long = "é".repeat(50_000);
+        let err = decode_str(&format!("\"{long}")).unwrap_err();
+        assert!(err.to_string().contains("unterminated string"), "{err}");
+        // The same run, terminated, decodes in full.
+        assert_eq!(
+            decode_str(&format!("\"{long}\"")).unwrap(),
+            Value::Str(long)
+        );
     }
 
     /// Serialize/Deserialize passthrough for raw `Value`s in tests.

@@ -5,13 +5,14 @@
 //! solver holds a pinned score-ratio floor; and the `auto` solver is
 //! bit-identical to solving with the router table's choice directly —
 //! the contract that makes `--algo auto` and the service's default
-//! solver observable and reproducible.
+//! solver observable and reproducible. No solver may pad its answer
+//! with vacuous zero-score matches.
 
 use fragalign::model::{check_consistency, Instance};
 use fragalign::prelude::*;
 use fragalign::sim::{
-    generate_degenerate, generate_soup, generate_torn, soup_batch, torn_batch, DegenerateShape,
-    SoupConfig, TornConfig,
+    gen_batch, generate_degenerate, generate_soup, generate_torn, soup_batch, torn_batch,
+    DegenerateShape, SoupConfig, TornConfig,
 };
 use proptest::prelude::*;
 
@@ -293,6 +294,58 @@ fn portfolio_dominates_every_member_on_adversarial_shapes() {
                 spec.name,
                 run.score
             );
+        }
+    }
+}
+
+#[test]
+fn every_solver_match_scores_positively() {
+    // A match that scores 0 adds nothing to the total and only inflates
+    // the answer (Definition 2 lets every solver drop it). Torn and
+    // soup at 48 regions exercise the factor-4 concatenation layouts
+    // and the chaining tier's windowed layouts — the places a
+    // traceback can pair symbols through zero-score columns; 24-region
+    // sims at 3×3 fragments keep the exact solver in the sweep at a
+    // debug-build cost of well under a second each.
+    let mut instances: Vec<(String, Instance)> = Vec::new();
+    for seed in 0..2u64 {
+        let torn = TornConfig {
+            regions: 48,
+            seed,
+            ..TornConfig::default()
+        };
+        let soup = SoupConfig {
+            regions: 48,
+            seed,
+            ..SoupConfig::default()
+        };
+        instances.push((format!("torn48/{seed}"), generate_torn(&torn).instance));
+        instances.push((format!("soup48/{seed}"), generate_soup(&soup).instance));
+    }
+    let sim = SimConfig {
+        h_frags: 3,
+        m_frags: 3,
+        ..SimConfig::default()
+    };
+    for (seed, sim) in gen_batch(&sim, 4).into_iter().enumerate() {
+        instances.push((format!("sim24/{seed}"), sim.instance));
+    }
+    let reg = SolverRegistry::global();
+    let opts = EngineOptions::default();
+    for (iname, inst) in &instances {
+        for spec in reg.specs() {
+            if spec.build().supports(inst, &opts).is_err() {
+                continue;
+            }
+            let run = reg.solve(spec.name, inst, opts).unwrap();
+            for m in run.matches.as_slice() {
+                assert!(
+                    m.score > 0,
+                    "{}/{iname}: vacuous match {m:?} scores {}",
+                    spec.name,
+                    m.score
+                );
+            }
         }
     }
 }
